@@ -298,7 +298,7 @@ recover() {
 		/tmp/rcutorture.ci -chaos -chaos-scenario recover -seed "$s" -chaos-rounds 3
 	done
 	echo '--- recover: go test -race durability/replay/torn-file suite'
-	go test -race -run 'Durable|ReplayState|Snapshot|WAL|Torn' ./internal/dist/ ./internal/durable/
+	go test -race -run 'Durable|ReplayState|Snapshot|WAL|Torn|^TestFence' ./internal/dist/ ./internal/durable/
 	echo '--- recover: rcubench snapshot-under-load + restart timing -> BENCH_PR8.json'
 	# The bench paces full-cluster snapshot sweeps at a fixed 100ms cadence
 	# rather than back-to-back: on this shared 1-CPU host a zero-pause

@@ -15,9 +15,10 @@
 //     busy-wait injects the latency asymmetry between local and remote
 //     access that the paper's numbers depend on (a remote lock acquisition
 //     is expensive; a node-local metadata read is not).
-//   - Node/Client (tcp.go): a real transport over net.Listener/net.Conn with
-//     a small length-prefixed binary protocol implementing GET, PUT, and
-//     active messages. It exists to demonstrate that the same operations
-//     run across genuinely separate address spaces (examples/netarray) and
-//     to keep the in-process model honest about what must be serializable.
+//   - Node/Client (node.go, client.go, writeq.go): a real transport over
+//     net.Listener/net.Conn with a small length-prefixed binary protocol
+//     implementing GET, PUT, and active messages, batched per connection.
+//     It exists to demonstrate that the same operations run across
+//     genuinely separate address spaces (examples/netarray) and to keep the
+//     in-process model honest about what must be serializable.
 package comm

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -127,6 +128,11 @@ func (d *Driver) batchClient(node int) *comm.Client {
 	return c
 }
 
+// errNoBatchConn is the result of an element whose node had no usable batch
+// connection. It is transient, so the element retries under the single-op
+// envelope, whose own error is the one a caller sees.
+var errNoBatchConn = errors.New("dist: no batch connection")
+
 func (d *Driver) readBatch(node int, ts []bulkTarget, out []int64, tc comm.TraceCtx) error {
 	pend := make([]*comm.Pending, len(ts))
 	if c := d.batchClient(node); c != nil {
@@ -136,7 +142,7 @@ func (d *Driver) readBatch(node int, ts []bulkTarget, out []int64, tc comm.Trace
 	}
 	for i, t := range ts {
 		var b []byte
-		err := fmt.Errorf("dist: node %d unreachable", node)
+		err := errNoBatchConn
 		if pend[i] != nil {
 			b, err = pend[i].Wait()
 		}
@@ -169,7 +175,7 @@ func (d *Driver) writeBatch(node int, ts []bulkTarget, vals []int64, tc comm.Tra
 		}
 	}
 	for i, t := range ts {
-		err := fmt.Errorf("dist: node %d unreachable", node)
+		err := errNoBatchConn
 		if pend[i] != nil {
 			_, err = pend[i].Wait()
 		}

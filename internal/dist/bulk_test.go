@@ -114,3 +114,11 @@ func TestBulkUnderChaos(t *testing.T) {
 		}
 	}
 }
+
+// The batch fallback's error for an element whose node had no connection must
+// stay transient, so the element retries under the single-op envelope.
+func TestBulkUnreachableIsTransient(t *testing.T) {
+	if !comm.IsTransient(errNoBatchConn) {
+		t.Fatalf("%v is not transient", errNoBatchConn)
+	}
+}

@@ -22,8 +22,9 @@ import (
 // The contract has two tiers. Resize milestones — region flips, full
 // installs, aborts — are WAL-appended (and fsynced) before the node
 // acknowledges them, so the table a restarted node reconstructs is exactly
-// the one it had acknowledged: replay is "more resizes" through the same
-// fencing/idempotency state machine handleInstall and handleAbort run live.
+// the one it had acknowledged: replay folds the log through fenceState, the
+// one fencing/idempotency state machine handleInstall and handleAbort decide
+// with live.
 // Element data is durable to the latest snapshot: a snapshot streams every
 // local segment without stalling writers (the cut is a table read under an
 // EBR section; each segment copy serializes only against Puts to that one
@@ -166,7 +167,7 @@ type snapHeader struct {
 	BlockSize uint32
 	WallNanos uint64
 	WALSeq    uint64
-	st        replayState // milestone fields only; table travels separately
+	fence     fenceState // the cut's milestones; the table travels separately
 }
 
 func (h snapHeader) encode() []byte {
@@ -176,14 +177,7 @@ func (h snapHeader) encode() []byte {
 	w.u32(h.BlockSize)
 	w.u64(h.WallNanos)
 	w.u64(h.WALSeq)
-	w.u64(h.st.maxFence)
-	w.u64(h.st.appliedFence)
-	w.u64(h.st.appliedEpoch)
-	w.u64(h.st.abortedFence)
-	w.u64(h.st.abortedEpoch)
-	w.u64(h.st.installFence)
-	w.u64(h.st.installEpoch)
-	w.u64(h.st.regionMilestone)
+	h.fence.put(&w)
 	return w.b
 }
 
@@ -193,16 +187,7 @@ func decodeSnapHeader(p []byte) (snapHeader, error) {
 		return snapHeader{}, fmt.Errorf("dist: snapshot header kind %d", k)
 	}
 	h := snapHeader{NodeID: r.u32(), BlockSize: r.u32(), WallNanos: r.u64(), WALSeq: r.u64()}
-	h.st = replayState{
-		maxFence:        r.u64(),
-		appliedFence:    r.u64(),
-		appliedEpoch:    r.u64(),
-		abortedFence:    r.u64(),
-		abortedEpoch:    r.u64(),
-		installFence:    r.u64(),
-		installEpoch:    r.u64(),
-		regionMilestone: r.u64(),
-	}
+	h.fence = readFenceState(&r)
 	return h, r.err
 }
 
@@ -249,103 +234,11 @@ func decodeNodeConf(p []byte) (nodeConf, error) {
 	return c, r.err
 }
 
-// replayState is the fencing/idempotency state machine of handleInstall and
-// handleAbort, lifted out of the live node so WAL replay runs the same
-// transitions against a crashed node's log: replay really is "more resizes".
-// The field names — and the ordering discipline on every write to them — are
-// the live node's, so the fencemono analyzer holds replay to the same rules.
-type replayState struct {
-	table           []BlockRef
-	maxFence        uint64
-	appliedFence    uint64
-	appliedEpoch    uint64
-	abortedFence    uint64
-	abortedEpoch    uint64
-	installFence    uint64
-	installEpoch    uint64
-	regionMilestone uint64
-}
-
-// apply folds one WAL record into the state. It returns false — stopping the
-// scan, exactly like a torn tail — on records that are internally
-// inconsistent (digest mismatch within one resize, unknown kind); stale or
-// duplicate records are skipped silently, mirroring the live handlers.
-func (st *replayState) apply(rec walRecord) bool {
-	switch rec.Kind {
-	case recWALInstall:
-		st.applyInstall(rec)
-		return true
-	case recWALAbort:
-		st.applyAbort(rec)
-		return true
-	default:
-		return false
-	}
-}
-
-func (st *replayState) applyInstall(rec walRecord) {
-	if rec.Fence < st.maxFence {
-		return // superseded before the crash; the successor's records follow
-	}
-	st.maxFence = rec.Fence
-	if rec.Fence == st.abortedFence && rec.Epoch <= st.abortedEpoch {
-		return // tombstoned resize; its rollback record already ran
-	}
-	if rec.Fence == st.appliedFence && rec.Epoch == st.appliedEpoch {
-		return // duplicate of a fully-applied install
-	}
-	if st.installFence != rec.Fence || st.installEpoch != rec.Epoch {
-		st.installFence, st.installEpoch = rec.Fence, rec.Epoch
-		if st.regionMilestone > 0 {
-			st.regionMilestone = 0
-		}
-	}
-	if st.regionMilestone >= uint64(rec.Step)+1 {
-		return // already replayed past this step
-	}
-	st.table = rec.Table
-	st.regionMilestone = uint64(rec.Step) + 1
-	if rec.Step+1 == rec.Total {
-		st.appliedFence, st.appliedEpoch = rec.Fence, rec.Epoch
-	}
-}
-
-func (st *replayState) applyAbort(rec walRecord) {
-	if rec.Fence < st.maxFence {
-		return
-	}
-	st.maxFence = rec.Fence
-	if rec.Fence > st.abortedFence || (rec.Fence == st.abortedFence && rec.Epoch > st.abortedEpoch) {
-		st.abortedFence, st.abortedEpoch = rec.Fence, rec.Epoch
-	}
-	applied := rec.Fence == st.appliedFence && rec.Epoch == st.appliedEpoch
-	partial := rec.Fence == st.installFence && rec.Epoch == st.installEpoch && st.regionMilestone > 0
-	if !applied && !partial {
-		return // the aborted install never landed here
-	}
-	st.table = rec.Table
-	if st.regionMilestone > 0 {
-		st.regionMilestone = 0
-	}
-	if applied {
-		st.appliedEpoch = rec.Epoch - 1
-	}
-}
-
-// replayWAL folds one WAL file's records into st, tolerating a torn tail and
-// stopping at the first inconsistent record. It returns how many records
-// were folded in.
-func replayWAL(path string, st *replayState) (int, error) {
-	payloads, _, err := durable.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	return replayWALRecords(payloads, st), nil
-}
-
-// replayWALRecords is the pure core of replayWAL (the fuzz surface): decode
-// each payload, check cross-record digest consistency, fold into st.
-func replayWALRecords(payloads [][]byte, st *replayState) int {
+// replayWALRecords folds one WAL file's records into im and returns how many
+// it folded (the fuzz surface). Stale or duplicate records fold to no-ops,
+// exactly as the live handlers decided them; a digest mismatch within one
+// resize or an unknown kind stops the scan like a torn tail.
+func replayWALRecords(payloads [][]byte, im *fenceImage) int {
 	applied := 0
 	digests := make(map[[2]uint64]uint32)
 	for _, p := range payloads {
@@ -360,7 +253,7 @@ func replayWALRecords(payloads [][]byte, st *replayState) int {
 			}
 			digests[key] = rec.Digest
 		}
-		if !st.apply(rec) {
+		if _, ok := im.apply(rec); !ok {
 			return applied
 		}
 		applied++
@@ -430,21 +323,6 @@ func (n *ArrayNode) walAppendLocked(rec walRecord) error {
 	return nil
 }
 
-// stateLocked packages the node's fencing milestones as a replayState.
-// Callers hold n.mu.
-func (n *ArrayNode) stateLocked() replayState {
-	return replayState{
-		maxFence:        n.maxFence,
-		appliedFence:    n.appliedFence,
-		appliedEpoch:    n.appliedEpoch,
-		abortedFence:    n.abortedFence,
-		abortedEpoch:    n.abortedEpoch,
-		installFence:    n.installFence,
-		installEpoch:    n.installEpoch,
-		regionMilestone: n.regionMilestone,
-	}
-}
-
 // Snapshot streams a consistent cut of the node to a new snapshot file and
 // prunes the files it supersedes. The cut — table plus fencing milestones —
 // is taken inside an EBR read section with the node mutex held just long
@@ -473,7 +351,7 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 	// The cut: pin an epoch (EBR read section), read the published table,
 	// capture milestones, rotate the WAL so every milestone acknowledged
 	// after the cut lands in a file the cut's WALSeq points at.
-	table, cutState, newSeq, oldWAL, err := func() ([]BlockRef, replayState, uint64, *durable.Writer, error) {
+	table, cutState, newSeq, oldWAL, err := func() ([]BlockRef, fenceState, uint64, *durable.Writer, error) {
 		g := n.dom.Enter()
 		defer g.Exit()
 		n.mu.Lock()
@@ -483,12 +361,12 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 		seq := n.walSeq + 1
 		w, err := durable.Create(walPath(n.dataDir, seq))
 		if err != nil {
-			return nil, replayState{}, 0, nil, fmt.Errorf("dist: rotating WAL: %w", err)
+			return nil, fenceState{}, 0, nil, fmt.Errorf("dist: rotating WAL: %w", err)
 		}
 		old := n.wal
 		n.wal = w
 		n.walSeq = seq
-		return snap.table, n.stateLocked(), seq, old, nil
+		return snap.table, n.fenceState, seq, old, nil
 	}()
 	if err != nil {
 		return SnapshotInfo{}, err
@@ -502,7 +380,7 @@ func (n *ArrayNode) Snapshot() (SnapshotInfo, error) {
 		BlockSize: uint32(n.blockSize),
 		WallNanos: uint64(time.Now().UnixNano()),
 		WALSeq:    newSeq,
-		st:        cutState,
+		fence:     cutState,
 	}
 	payloads := [][]byte{header.encode()}
 	tw := wbuf{}
@@ -596,15 +474,7 @@ func (n *ArrayNode) handleRecoverState(payload []byte) ([]byte, error) {
 	defer n.mu.Unlock()
 	snap := n.snap.Load()
 	snap.CheckLive()
-	s := recoverState{
-		MaxFence:     n.maxFence,
-		AppliedFence: n.appliedFence,
-		AppliedEpoch: n.appliedEpoch,
-		AbortedFence: n.abortedFence,
-		AbortedEpoch: n.abortedEpoch,
-		Table:        snap.table,
-	}
-	return s.encode(), nil
+	return encodeRecoverState(fenceImage{fenceState: n.fenceState, table: snap.table}), nil
 }
 
 // persistConf writes the node's identity record atomically.
@@ -671,7 +541,7 @@ func (n *ArrayNode) recoverFromDisk() error {
 	// Newest footer-complete snapshot wins; older ones are the fallback when
 	// the newest was torn by a crash mid-rename (the atomic write makes that
 	// window tiny but not empty on all filesystems).
-	var st replayState
+	var im fenceImage
 	var segs map[uint64][]byte
 	snapSeqs, err := seqFiles(n.dataDir, snapPrefix, snapSuffix)
 	if err != nil {
@@ -688,8 +558,7 @@ func (n *ArrayNode) recoverFromDisk() error {
 		if err != nil {
 			continue
 		}
-		st = h.st
-		st.table = table
+		im = fenceImage{fenceState: h.fence, table: table}
 		segs = s
 		loadedSnap = snapSeqs[i]
 		walFrom = h.WALSeq
@@ -714,32 +583,13 @@ func (n *ArrayNode) recoverFromDisk() error {
 		if seq < walFrom {
 			continue
 		}
-		k, err := replayWAL(walPath(n.dataDir, seq), &st)
+		payloads, _, err := durable.ReadFile(walPath(n.dataDir, seq))
 		if err != nil {
 			return fmt.Errorf("dist: replaying WAL %d: %w", seq, err)
 		}
-		replayed += k
+		replayed += replayWALRecords(payloads, &im)
 		lastWAL = seq
 	}
-
-	// Install the recovered state. No reader exists yet (DeferServe), so the
-	// table store needs no grace period.
-	n.mu.Lock()
-	n.id = conf.NodeID
-	n.blockSize = int(conf.BlockSize)
-	n.identity = conf.Identity
-	n.restartGen = conf.RestartGen
-	n.maxFence = st.maxFence
-	n.appliedFence = st.appliedFence
-	n.appliedEpoch = st.appliedEpoch
-	n.abortedFence = st.abortedFence
-	n.abortedEpoch = st.abortedEpoch
-	n.installFence = st.installFence
-	n.installEpoch = st.installEpoch
-	n.regionMilestone = st.regionMilestone
-	n.snap.Store(&tableSnapshot{table: st.table})
-	n.snapSeq = loadedSnap
-	n.mu.Unlock()
 
 	// Re-dial peers with the bumped generation. Unreachable peers are
 	// skipped — the driver's own redial reaches us regardless, and a peer
@@ -755,8 +605,8 @@ func (n *ArrayNode) recoverFromDisk() error {
 		c, err := comm.DialConfig(a, comm.ClientConfig{
 			DialTimeout: recoverDialTimeout,
 			CallTimeout: recoverDialTimeout,
-			Identity:    peerIdentity(n.identity, i),
-			Generation:  n.restartGen,
+			Identity:    peerIdentity(conf.Identity, i),
+			Generation:  conf.RestartGen,
 			Peer:        fmt.Sprintf("n%d", i),
 			Obs:         n.reg,
 		})
@@ -766,11 +616,11 @@ func (n *ArrayNode) recoverFromDisk() error {
 		peers[i] = c
 	}
 
-	// Catch up: adopt the newest peer milestones. This is where a rollback
-	// the cluster performed while we were down lands — including the abort
-	// tombstone that stops our replayed-but-aborted install from ever
-	// resurrecting — and where installs we missed entirely arrive, via the
-	// same audit table RPC shape the chaos harness trusts.
+	// Catch up: fold the peers' milestones in through fenceState.adopt. This
+	// is where a rollback the cluster performed while we were down lands —
+	// including the abort tombstone that stops our replayed-but-aborted
+	// install from ever resurrecting — and where installs we missed entirely
+	// arrive, via the same audit table RPC shape the chaos harness trusts.
 	for i, p := range peers {
 		if p == nil {
 			continue
@@ -779,24 +629,31 @@ func (n *ArrayNode) recoverFromDisk() error {
 		if err != nil {
 			continue
 		}
-		rs, err := decodeRecoverState(reply)
+		peer, err := decodeRecoverState(reply)
 		if err != nil {
 			return fmt.Errorf("dist: peer %d recover state: %w", i, err)
 		}
-		n.mu.Lock()
-		n.adoptRecoverStateLocked(rs)
-		n.mu.Unlock()
+		im.adoptPeer(peer)
 	}
+
+	// Install the recovered state. No reader exists yet (DeferServe), so the
+	// table store needs no grace period.
+	n.mu.Lock()
+	n.id = conf.NodeID
+	n.blockSize = int(conf.BlockSize)
+	n.identity = conf.Identity
+	n.restartGen = conf.RestartGen
+	n.fenceState = im.fenceState
+	n.snap.Store(&tableSnapshot{table: im.table})
+	n.snapSeq = loadedSnap
 
 	// Any local block the final table references must exist; one the
 	// snapshot missed (allocated after the cut, installed via WAL or
 	// adoption) comes back zeroed — its element writes postdate the cut and
 	// are below the durability line by contract.
-	n.mu.Lock()
-	table := n.snap.Load().table
 	local := 0
 	live := make(map[uint64]bool)
-	for _, ref := range table {
+	for _, ref := range im.table {
 		if ref.Node != n.id {
 			continue
 		}
@@ -836,11 +693,9 @@ func (n *ArrayNode) recoverFromDisk() error {
 	// or the first post-restart Acquire would grant a token the nodes all
 	// fence out.
 	n.lockMu.Lock()
-	n.mu.Lock()
-	if n.lockFence < n.maxFence {
-		n.lockFence = n.maxFence
+	if n.lockFence < im.maxFence {
+		n.lockFence = im.maxFence
 	}
-	n.mu.Unlock()
 	n.lockMu.Unlock()
 
 	n.walReplayed.Add(uint64(replayed))
@@ -849,39 +704,6 @@ func (n *ArrayNode) recoverFromDisk() error {
 		n.recoverNs.Observe(time.Since(start).Nanoseconds())
 	}
 	return nil
-}
-
-// adoptRecoverStateLocked folds one peer's milestones into the node if the
-// peer is strictly newer: a higher fence, or — at our fence — an applied
-// epoch or abort tombstone we have not seen. Adoption replaces the table
-// wholesale (the peer's is the cluster's authoritative one at those
-// milestones) and resets install progress: whatever partial install our WAL
-// replayed has been superseded or rolled back by the adopted state. Callers
-// hold n.mu. No EBR grace period is needed: adoption runs only before the
-// node serves.
-func (n *ArrayNode) adoptRecoverStateLocked(rs recoverState) bool {
-	if rs.MaxFence < n.maxFence {
-		return false
-	}
-	newer := rs.MaxFence > n.maxFence ||
-		rs.AppliedEpoch > n.appliedEpoch ||
-		rs.AbortedFence > n.abortedFence ||
-		(rs.AbortedFence == n.abortedFence && rs.AbortedEpoch > n.abortedEpoch)
-	if !newer {
-		return false
-	}
-	n.maxFence = rs.MaxFence
-	n.appliedFence = rs.AppliedFence
-	n.appliedEpoch = rs.AppliedEpoch
-	n.abortedFence = rs.AbortedFence
-	n.abortedEpoch = rs.AbortedEpoch
-	n.installFence = rs.AppliedFence
-	n.installEpoch = rs.AppliedEpoch
-	if n.regionMilestone > 0 {
-		n.regionMilestone = 0
-	}
-	n.snap.Store(&tableSnapshot{table: rs.Table})
-	return true
 }
 
 // SnapshotNode asks one node to cut and persist a snapshot, returning its

@@ -380,7 +380,7 @@ func TestDurableDriverCloseBlocksRedial(t *testing.T) {
 	}
 }
 
-// replayState must mirror the live handlers' fencing transitions exactly.
+// WAL replay folds records through the live handlers' fencing transitions.
 func TestReplayStateTransitions(t *testing.T) {
 	tbl := func(n int) []BlockRef {
 		t := make([]BlockRef, n)
@@ -395,7 +395,7 @@ func TestReplayStateTransitions(t *testing.T) {
 	}
 
 	t.Run("FullInstallApplies", func(t *testing.T) {
-		var st replayState
+		var st fenceImage
 		full := tbl(4)
 		st.apply(install(2, 1, 0, 2, full[:2]))
 		st.apply(install(2, 1, 1, 2, full))
@@ -404,7 +404,7 @@ func TestReplayStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("PartialThenAbortRollsBack", func(t *testing.T) {
-		var st replayState
+		var st fenceImage
 		old := tbl(2)
 		st.apply(install(2, 1, 0, 2, tbl(3)))
 		st.apply(walRecord{Kind: recWALAbort, Fence: 2, Epoch: 1, Table: old})
@@ -418,7 +418,7 @@ func TestReplayStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("StaleFenceSkipped", func(t *testing.T) {
-		var st replayState
+		var st fenceImage
 		st.apply(install(5, 1, 0, 1, tbl(3)))
 		st.apply(install(4, 9, 0, 1, tbl(8)))
 		if st.maxFence != 5 || len(st.table) != 3 {
@@ -426,7 +426,7 @@ func TestReplayStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("DuplicateStepIdempotent", func(t *testing.T) {
-		var st replayState
+		var st fenceImage
 		st.apply(install(2, 1, 0, 2, tbl(3)))
 		st.apply(install(2, 1, 0, 2, tbl(3)))
 		if st.regionMilestone != 1 || st.appliedFence != 0 {
@@ -434,7 +434,7 @@ func TestReplayStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("DigestMismatchStopsScan", func(t *testing.T) {
-		var st replayState
+		var st fenceImage
 		good := install(2, 1, 0, 2, tbl(3))
 		bad := install(2, 1, 1, 2, tbl(4))
 		bad.Digest++ // two steps of one resize disagreeing on the table
@@ -444,7 +444,7 @@ func TestReplayStateTransitions(t *testing.T) {
 		}
 	})
 	t.Run("UnknownKindStopsScan", func(t *testing.T) {
-		var st replayState
+		var st fenceImage
 		rec := install(2, 1, 0, 1, tbl(1))
 		unknown := walRecord{Kind: 99, Fence: 3, Table: tbl(1)}
 		n := replayWALRecords([][]byte{rec.encode(), unknown.encode(), rec.encode()}, &st)
@@ -459,7 +459,7 @@ func TestReplayStateTransitions(t *testing.T) {
 func buildTestSnapshot() []byte {
 	table := []BlockRef{{Node: 1, Seg: 3}, {Node: 0, Seg: 9}}
 	h := snapHeader{NodeID: 1, BlockSize: 8, WallNanos: 12345, WALSeq: 2,
-		st: replayState{maxFence: 4, appliedFence: 4, appliedEpoch: 2,
+		fence: fenceState{maxFence: 4, appliedFence: 4, appliedEpoch: 2,
 			installFence: 4, installEpoch: 2}}
 	var tw wbuf
 	tw.u8(recSnapTable)
@@ -560,7 +560,7 @@ func FuzzSnapshotTornFile(f *testing.F) {
 			return
 		}
 		decodeSnapshot(payloads, torn)
-		var st replayState
+		var st fenceImage
 		replayWALRecords(payloads, &st)
 	})
 }

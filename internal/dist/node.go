@@ -53,36 +53,14 @@ type ArrayNode struct {
 	lockHolder uint64    // current token, 0 = free
 	lockExpiry time.Time // lease end for lockHolder
 
-	// Install/abort fencing and idempotency state (guarded by mu).
-	maxFence     uint64 // highest fencing token seen
-	appliedFence uint64 // (fence, epoch) of the applied table
-	appliedEpoch uint64
-
-	// Incremental-install progress (guarded by mu). An install carrying
-	// region ranges publishes its table one region at a time; these fields
-	// record which install is mid-flight and how many of its region steps
-	// have been published, so a retried install resumes instead of
-	// re-flipping, and an abort of a partly-applied install knows to roll
-	// back. regionMilestone only moves forward within one (fence, epoch)
-	// and resets when a different install or an abort takes over.
-	installFence    uint64
-	installEpoch    uint64
-	regionMilestone uint64 // region steps of (installFence, installEpoch) published
+	// Install/abort fencing milestones (guarded by mu). Only fenceState's
+	// transition methods decide them; handlers commit the result.
+	fenceState
 
 	// installHook, when set, runs after each region publication with the
 	// node's mutex released — the window the chaos and linearizability
 	// harnesses use to pause, kill, or read mid-install. Test-only.
 	installHook func(step, total int)
-
-	// abortedFence/abortedEpoch tombstone the highest (fence, epoch) pair an
-	// abort has been processed for — including aborts that were no-ops here
-	// because the install never landed. A straggler or duplicate install
-	// carrying an aborted pair would otherwise pass the fence check (same
-	// token) and miss the idempotency check (the rollback moved appliedEpoch
-	// back), re-installing a table whose blocks the abort already freed
-	// (guarded by mu).
-	abortedFence uint64
-	abortedEpoch uint64
 
 	// Durability state (see durability.go). dataDir is fixed at
 	// construction; identity and restartGen are persisted in node.conf so a
@@ -538,13 +516,14 @@ func validateRegions(steps []RegionRange, tableLen int) error {
 // lease holder is rejected, a retried install is a no-op.
 //
 // An install carrying region ranges is applied incrementally: one table
-// publication — each under its own grace period — per region step, with
-// fence and abort-tombstone checks re-run between steps (the mutex is
-// released after every flip, so an abort or a superseding holder can land
-// mid-install). A fenced or aborted partial install stops with the table at
-// a consistent region-boundary prefix, which the abort's rollback or the
-// successor's install then owns; regionMilestone makes retries resume after
-// the last published step instead of re-flipping.
+// publication — each under its own grace period — per region step, with the
+// fence state machine re-deciding every step (the mutex is released after
+// every flip, so an abort or a superseding holder can land mid-install). A
+// fenced or aborted partial install stops with the table at a consistent
+// region-boundary prefix, which the abort's rollback or the successor's
+// install then owns; retries resume after the last published step instead of
+// re-flipping. Each step is decide, WAL-append, commit: the milestones move
+// only once the record is durable.
 func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 	if !n.configured.Load() {
 		return nil, fmt.Errorf("dist: node not configured")
@@ -565,45 +544,36 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 	digest := tableDigest(q.Table)
 	for k, rg := range steps {
 		n.mu.Lock() // serializes installs on this node (WriteLock also does, belt and braces)
-		if q.Fence < n.maxFence {
+		v, next := n.installStep(q.Fence, q.Epoch, k, len(steps))
+		switch v {
+		case verdictFenced, verdictTombstoned:
+			// A tombstoned install is a straggler (the client abandoned this
+			// frame on a timeout, then the resize aborted) or a duplicate: its
+			// table references blocks the abort already freed. For a
+			// partly-published install this is also the resurrection stop.
 			n.fenced.Inc()
 			n.trace.instant(n.trace.nFenced, int64(q.Fence))
+			var err error
+			if v == verdictFenced {
+				err = fmt.Errorf("dist: install fenced: token %d superseded by %d", q.Fence, n.maxFence)
+			} else {
+				err = fmt.Errorf("dist: install of aborted resize (token %d, epoch %d)", q.Fence, q.Epoch)
+			}
 			n.mu.Unlock()
-			return nil, fmt.Errorf("dist: install fenced: token %d superseded by %d", q.Fence, n.maxFence)
-		}
-		n.maxFence = q.Fence
-		if q.Fence == n.abortedFence && q.Epoch <= n.abortedEpoch {
-			// A straggler (the client abandoned this frame on a timeout, then
-			// the resize aborted) or a duplicate: the table it carries references
-			// blocks the abort already freed, and other nodes rolled back. For a
-			// partly-published install this is also the resurrection stop: the
-			// abort rolled the table back between our flips, and continuing
-			// would re-publish blocks it already freed.
-			n.fenced.Inc()
-			n.trace.instant(n.trace.nFenced, int64(q.Fence))
+			return nil, err
+		case verdictDuplicate, verdictStepDone:
+			if k == 0 {
+				n.pruneAllocsLocked(q.Fence, q.Table)
+			}
 			n.mu.Unlock()
-			return nil, fmt.Errorf("dist: install of aborted resize (token %d, epoch %d)", q.Fence, q.Epoch)
-		}
-		if k == 0 {
-			n.pruneAllocsLocked(q.Fence, q.Table)
-		}
-		if q.Fence == n.appliedFence && q.Epoch == n.appliedEpoch {
-			n.mu.Unlock()
-			return nil, nil // retried install, already applied in full
-		}
-		if n.installFence != q.Fence || n.installEpoch != q.Epoch {
-			// A different install owned the progress counter (or none did);
-			// this one takes over from step zero.
-			n.installFence, n.installEpoch = q.Fence, q.Epoch
-			n.regionMilestone = 0
-		}
-		if n.regionMilestone >= uint64(k+1) {
-			n.mu.Unlock() // retried install resuming: this step is already published
-			continue
+			if v == verdictDuplicate {
+				return nil, nil // retried install, already applied in full
+			}
+			continue // retried install resuming: this step is already published
 		}
 		// Write-ahead: the milestone is on disk before the flip is published
 		// (and so before it can be acknowledged). A WAL failure rejects the
-		// install with the table untouched.
+		// install with the table and the fence state untouched.
 		if err := n.walAppendLocked(walRecord{
 			Kind: recWALInstall, Fence: q.Fence, Epoch: q.Epoch,
 			Step: uint32(k), Total: uint32(len(steps)), Digest: digest,
@@ -612,18 +582,22 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 			n.mu.Unlock()
 			return nil, err
 		}
+		// Commit the step, the last one with applied status, in the same
+		// critical section as its flip: the mutex drops before the hook
+		// below, and a successor landing in that window must not see this
+		// install claim applied status afterwards.
+		n.fenceState = next
+		if k == 0 {
+			// Only now: before this fence is committed, an older holder's
+			// install could still be accepted, and its blocks must survive.
+			n.pruneAllocsLocked(q.Fence, q.Table)
+		}
 		n.trace.begin(n.trace.nInstall)
 		n.replaceTableLocked(q.Table[:rg.Hi])
 		n.trace.end(n.trace.nInstall)
-		n.regionMilestone = uint64(k + 1)
 		n.regionFlips.Inc()
 		n.trace.instant(n.trace.nRegion, int64(k))
 		if k == len(steps)-1 {
-			// Commit in the same critical section as the last flip: the mutex
-			// drops before the hook below, and a successor landing in that
-			// window must not see this install claim applied status afterwards.
-			n.appliedFence = q.Fence
-			n.appliedEpoch = q.Epoch
 			n.installs.Inc()
 		}
 		n.mu.Unlock()
@@ -637,9 +611,9 @@ func (n *ArrayNode) handleInstall(payload []byte) ([]byte, error) {
 // handleAbort rolls the table back to the pre-resize snapshot carried in the
 // request — but only if this node applied the aborted install in full, or
 // published a prefix of it (an incremental install caught mid-flight);
-// nodes the install never reached (the usual reason for the abort) treat it
-// as a no-op. Stale fencing tokens are ignored rather than rolled back: the
-// superseding holder owns the table now.
+// nodes the install never reached (the usual reason for the abort) only
+// record the tombstone. Stale fencing tokens are ignored rather than rolled
+// back: the superseding holder owns the table now.
 func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	if !n.configured.Load() {
 		return nil, fmt.Errorf("dist: node not configured")
@@ -650,7 +624,8 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if q.Fence < n.maxFence {
+	v, next := n.abort(q.Fence, q.Epoch)
+	if v == verdictFenced {
 		n.fenced.Inc()
 		n.trace.instant(n.trace.nFenced, int64(q.Fence))
 		return nil, nil
@@ -661,33 +636,14 @@ func (n *ArrayNode) handleAbort(payload []byte) ([]byte, error) {
 	if err := n.walAppendLocked(walRecord{Kind: recWALAbort, Fence: q.Fence, Epoch: q.Epoch, Table: q.Table}); err != nil {
 		return nil, err
 	}
-	n.maxFence = q.Fence
-	// Tombstone the aborted pair — even when the install never landed here —
-	// so a straggler install for this resize is rejected instead of applied
-	// against the freed blocks.
-	if q.Fence > n.abortedFence || (q.Fence == n.abortedFence && q.Epoch > n.abortedEpoch) {
-		n.abortedFence, n.abortedEpoch = q.Fence, q.Epoch
-	}
-	applied := q.Fence == n.appliedFence && q.Epoch == n.appliedEpoch
-	partial := q.Fence == n.installFence && q.Epoch == n.installEpoch && n.regionMilestone > 0
-	if !applied && !partial {
+	n.fenceState = next
+	if v == verdictTombstoneOnly {
 		n.pruneAllocsLocked(q.Fence, q.Table)
 		return nil, nil // the aborted install never landed here
 	}
 	abortedTable := n.snap.Load().table
 	n.trace.begin(n.trace.nAbort)
 	n.replaceTableLocked(q.Table)
-	if partial {
-		// The aborted install published some region steps; the rollback just
-		// superseded them, and the tombstone above stops the in-flight
-		// handler from publishing any more. Forgetting the progress (guarded
-		// by the > 0 check) keeps a later install at this fence from
-		// "resuming" a plan that no longer owns the table.
-		n.regionMilestone = 0
-	}
-	if applied {
-		n.appliedEpoch = q.Epoch - 1
-	}
 	// Free the local blocks the aborted install had added — present in the
 	// table being rolled back but not in the rollback table. This runs after
 	// the rollback's Synchronize, so no local reader is still inside a

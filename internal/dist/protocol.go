@@ -292,47 +292,39 @@ func decodeLockReply(p []byte) (status uint8, v uint64, err error) {
 	return status, v, r.err
 }
 
-// recoverState is a node's answer to the restart catch-up RPC: the fencing
-// milestones that order its table against a rejoining peer's replayed state,
-// plus the table itself. A restarted node asks every reachable peer and
-// adopts the newest answer (see adoptRecoverStateLocked), which is what stops
-// an aborted table from resurrecting out of a crashed node's WAL: the peers'
-// tombstones travel with their tables.
-type recoverState struct {
-	MaxFence     uint64
-	AppliedFence uint64
-	AppliedEpoch uint64
-	AbortedFence uint64
-	AbortedEpoch uint64
-	Table        []BlockRef
-}
-
-func (s recoverState) encode() []byte {
+// encodeRecoverState is a node's answer to the restart catch-up RPC: the
+// fencing milestones that order its table against a rejoining peer's
+// replayed state, plus the table itself. A restarted node asks every
+// reachable peer and adopts the newest answer (fenceState.adopt), which is
+// what stops an aborted table from resurrecting out of a crashed node's WAL:
+// the peers' tombstones travel with their tables. Install progress does not
+// travel — adoption drops it.
+func encodeRecoverState(im fenceImage) []byte {
 	var w wbuf
-	w.u64(s.MaxFence)
-	w.u64(s.AppliedFence)
-	w.u64(s.AppliedEpoch)
-	w.u64(s.AbortedFence)
-	w.u64(s.AbortedEpoch)
-	w.b = append(w.b, encodeTable(s.Table)...)
+	w.u64(im.maxFence)
+	w.u64(im.appliedFence)
+	w.u64(im.appliedEpoch)
+	w.u64(im.abortedFence)
+	w.u64(im.abortedEpoch)
+	w.b = append(w.b, encodeTable(im.table)...)
 	return w.b
 }
 
-func decodeRecoverState(p []byte) (recoverState, error) {
+func decodeRecoverState(p []byte) (fenceImage, error) {
 	r := rbuf{b: p}
-	s := recoverState{
-		MaxFence:     r.u64(),
-		AppliedFence: r.u64(),
-		AppliedEpoch: r.u64(),
-		AbortedFence: r.u64(),
-		AbortedEpoch: r.u64(),
-	}
+	im := fenceImage{fenceState: fenceState{
+		maxFence:     r.u64(),
+		appliedFence: r.u64(),
+		appliedEpoch: r.u64(),
+		abortedFence: r.u64(),
+		abortedEpoch: r.u64(),
+	}}
 	table, err := readTable(&r)
 	if err != nil {
-		return s, err
+		return im, err
 	}
-	s.Table = table
-	return s, r.err
+	im.table = table
+	return im, r.err
 }
 
 // SnapshotInfo reports one durable snapshot: the fencing milestone it was cut
